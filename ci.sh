@@ -50,6 +50,11 @@ else
   echo "ci: perf gate skipped (FT_SKIP_PERF_GATE set)"
 fi
 
+# Simulated-results gate: the benchmark's self-test, then one pass of
+# every perfbench workload, whose first-pass digest must match
+# ci/perfbench_digests.txt and whose run must report "correct": true.
+ci/perfbench_digests.sh
+
 # Campaign smoke: the parallel runner must reproduce the serial rows
 # bitwise for both the fault-injection matrix and the Figure 8 grids (the
 # binary exits nonzero on any serial/parallel mismatch) and emit the four

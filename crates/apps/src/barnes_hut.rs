@@ -81,6 +81,11 @@ pub struct BarnesHut {
     /// the reads and writes are concurrent — the happens-before race the
     /// two-barrier structure exists to prevent.
     pub fused: bool,
+    /// The DSM handle, probed once on first use. Its offsets depend only
+    /// on the immutable configuration and the deterministic allocation
+    /// order, never on recoverable state, so rollback and microreboot
+    /// leave it valid.
+    dsm: Option<Dsm>,
 }
 
 /// A body (scratch representation).
@@ -220,15 +225,31 @@ fn child_center(ox: f64, oy: f64, h: f64, q: usize) -> (f64, f64) {
 }
 
 impl BarnesHut {
+    /// A worker node; the DSM handle is probed on first use.
+    pub fn new(my: u32, n_nodes: u32, iterations: u64, display_every: u64, fused: bool) -> Self {
+        BarnesHut {
+            my,
+            n_nodes,
+            iterations,
+            display_every,
+            fused,
+            dsm: None,
+        }
+    }
+
     /// DSM pages needed for the body array.
     fn dsm_pages() -> usize {
         (N_BODIES * BODY_BYTES).div_ceil(ft_dsm::DSM_PAGE)
     }
 
     /// The deterministic DSM handle (same allocation order every start).
-    fn dsm(&self) -> Dsm {
+    fn dsm(&mut self) -> Dsm {
+        if let Some(dsm) = self.dsm {
+            return dsm;
+        }
         let mut probe = Mem::new(self.layout());
-        Dsm::init(&mut probe, self.my, self.n_nodes, Self::dsm_pages()).expect("probe")
+        let dsm = Dsm::init(&mut probe, self.my, self.n_nodes, Self::dsm_pages()).expect("probe");
+        *self.dsm.insert(dsm)
     }
 
     /// Reads one body through the recorded DSM interface (a shared-memory
@@ -482,17 +503,13 @@ pub fn cluster_fused(iterations: u64, display_every: u64) -> Vec<Box<dyn App>> {
 }
 
 fn cluster_with(iterations: u64, display_every: u64, fused: bool) -> Vec<Box<dyn App>> {
-    (0..4)
-        .map(|i| {
-            Box::new(BarnesHut {
-                my: i,
-                n_nodes: 4,
-                iterations,
-                display_every,
-                fused,
-            }) as Box<dyn App>
-        })
+    nodes(iterations, display_every, fused)
+        .map(|node| Box::new(node) as Box<dyn App>)
         .collect()
+}
+
+fn nodes(iterations: u64, display_every: u64, fused: bool) -> impl Iterator<Item = BarnesHut> {
+    (0..4).map(move |i| BarnesHut::new(i, 4, iterations, display_every, fused))
 }
 
 #[cfg(test)]
@@ -537,6 +554,23 @@ mod tests {
             .map(|&(_, _, t)| (t & 0xFFFF_FFFF) as u32 as i32)
             .collect();
         assert!(!es.is_empty());
+    }
+
+    #[test]
+    fn cached_dsm_handle_matches_a_fresh_probe() {
+        // Every node of `cluster` and `cluster_fused`: the handle cached on
+        // first use is the one `Dsm::init` yields on a fresh image of the
+        // node's layout, and later calls return it unchanged.
+        for fused in [false, true] {
+            for mut node in nodes(8, 4, fused) {
+                assert!(node.dsm.is_none(), "the probe runs on first use");
+                let mut fresh_mem = Mem::new(node.layout());
+                let fresh = Dsm::init(&mut fresh_mem, node.my, 4, BarnesHut::dsm_pages()).unwrap();
+                let cached = node.dsm();
+                assert_eq!(format!("{cached:?}"), format!("{fresh:?}"));
+                assert_eq!(format!("{:?}", node.dsm), format!("{:?}", Some(fresh)));
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! read and write cells and vectors in the arena each step. [`ArenaCell`]
 //! and the handle-persistence helpers on [`crate::vec::ArenaVec`] make this
 //! cheap.
+//!
+//! An application may still cache a value in its struct if the value is
+//! derived only from its immutable configuration and the deterministic
+//! allocation order: a handle whose offsets a fresh [`Mem`] of the same
+//! layout reproduces (the Barnes-Hut node's DSM handle is one). Such a
+//! value is the same before and after any rollback, microreboot or
+//! injected fault, so caching it cannot change a run. Nothing recoverable
+//! may be cached this way.
 
 use crate::alloc::Allocator;
 use crate::arena::{Arena, Layout};

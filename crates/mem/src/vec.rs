@@ -174,8 +174,22 @@ impl<T: Pod> ArenaVec<T> {
     }
 
     /// Copies all elements out into a `Vec`.
+    ///
+    /// One bounds check and one pass over the slice. A handle whose byte
+    /// range does not fit (a corrupted `len` under fault injection) takes
+    /// the per-element path, so it fails with the same [`MemFault`] the
+    /// first bad element's [`ArenaVec::get`] reports.
     pub fn to_vec(&self, arena: &Arena) -> MemResult<Vec<T>> {
-        (0..self.len).map(|i| self.get(arena, i)).collect()
+        let bytes = self
+            .len
+            .checked_mul(T::SIZE)
+            // `chunks_exact` needs a nonzero element size.
+            .filter(|_| T::SIZE > 0)
+            .and_then(|n| arena.read(self.data_off, n).ok());
+        match bytes {
+            Some(bytes) => Ok(bytes.chunks_exact(T::SIZE).map(T::load).collect()),
+            None => (0..self.len).map(|i| self.get(arena, i)).collect(),
+        }
     }
 
     /// The raw (data offset, len, cap) triple, for handle persistence.
@@ -302,6 +316,73 @@ mod tests {
         v.clear();
         assert!(v.is_empty());
         assert_eq!(v.pop(&arena).unwrap(), None);
+    }
+
+    /// The element-by-element reference `to_vec` must agree with.
+    fn per_element<T: Pod>(v: &ArenaVec<T>, arena: &Arena) -> MemResult<Vec<T>> {
+        (0..v.len()).map(|i| v.get(arena, i)).collect()
+    }
+
+    #[test]
+    fn to_vec_matches_per_element_reads_in_bounds() {
+        let (mut arena, mut alloc) = setup();
+        let mut bytes = ArenaVec::<u8>::with_capacity(&mut arena, &mut alloc, 4).unwrap();
+        let mut words = ArenaVec::<u64>::with_capacity(&mut arena, &mut alloc, 4).unwrap();
+        for i in 0..300u64 {
+            bytes
+                .push(&mut arena, &mut alloc, (i * 7).to_le_bytes()[0])
+                .unwrap();
+            words
+                .push(
+                    &mut arena,
+                    &mut alloc,
+                    i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                )
+                .unwrap();
+        }
+        assert_eq!(bytes.to_vec(&arena), per_element(&bytes, &arena));
+        assert_eq!(words.to_vec(&arena), per_element(&words, &arena));
+        assert_eq!(
+            words.to_vec(&arena).unwrap()[299],
+            299u64.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        );
+    }
+
+    #[test]
+    fn to_vec_of_an_empty_vector_is_empty() {
+        let (mut arena, mut alloc) = setup();
+        let v = ArenaVec::<u32>::with_capacity(&mut arena, &mut alloc, 4).unwrap();
+        assert_eq!(v.to_vec(&arena), Ok(vec![]));
+        // An empty handle reads nothing, even at an offset past the arena.
+        let far = ArenaVec::<u32>::from_handle_triple(u64::MAX, 0, 0);
+        assert_eq!(far.to_vec(&arena), Ok(vec![]));
+    }
+
+    #[test]
+    fn to_vec_past_the_arena_reports_the_per_element_fault() {
+        let (mut arena, mut alloc) = setup();
+        let mut v = ArenaVec::<u64>::with_capacity(&mut arena, &mut alloc, 4).unwrap();
+        v.push(&mut arena, &mut alloc, 5).unwrap();
+        let (off, _, cap) = v.handle_triple();
+        // A corrupted length that runs off the end of the arena.
+        let long = ArenaVec::<u64>::from_handle_triple(off, arena.size() as u64, cap);
+        let err = per_element(&long, &arena).unwrap_err();
+        assert!(matches!(err, MemFault::OutOfBounds { len: 8, .. }));
+        assert_eq!(long.to_vec(&arena), Err(err));
+    }
+
+    #[test]
+    fn to_vec_with_an_overflowing_byte_length_reports_the_per_element_fault() {
+        let (mut arena, mut alloc) = setup();
+        let mut v = ArenaVec::<u64>::with_capacity(&mut arena, &mut alloc, 4).unwrap();
+        v.push(&mut arena, &mut alloc, 5).unwrap();
+        let (off, _, cap) = v.handle_triple();
+        // `len * 8` overflows usize.
+        let huge = ArenaVec::<u64>::from_handle_triple(off, u64::MAX / 4, cap);
+        assert!(huge.len().checked_mul(8).is_none());
+        let err = per_element(&huge, &arena).unwrap_err();
+        assert!(matches!(err, MemFault::OutOfBounds { len: 8, .. }));
+        assert_eq!(huge.to_vec(&arena), Err(err));
     }
 
     #[test]
